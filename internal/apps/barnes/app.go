@@ -7,7 +7,6 @@ import (
 	"repro/internal/pvm"
 	"repro/internal/sim"
 	"repro/internal/tmk"
-	"sync"
 )
 
 // app implements core.App.
@@ -16,8 +15,7 @@ type app struct {
 
 	bodyA tmk.Addr // shared body array of the current TreadMarks run
 
-	mu     sync.Mutex // guards parOut: procs fold partials concurrently
-	parOut Output     // accumulated per-processor checksums (owner sets disjoint)
+	parOut Output // accumulated per-processor checksums (owner sets disjoint)
 	seqOut Output
 	hasSeq bool
 	hasPar bool
@@ -54,16 +52,6 @@ func (a *app) Figure() int  { return 10 }
 
 func (a *app) Problem() string {
 	return fmt.Sprintf("%d bodies, %d steps", a.cfg.Bodies, a.cfg.Steps)
-}
-
-// addSum folds one processor's partial checksum into the collector.
-// Integer addition commutes, so the result is identical in any
-// accumulation order — including the concurrent compute phases of the
-// parallel engine, which the mutex makes safe.
-func (a *app) addSum(v int64) {
-	a.mu.Lock()
-	a.parOut.Sum += v
-	a.mu.Unlock()
 }
 
 func (a *app) Check() error {
@@ -142,7 +130,7 @@ func (a *app) TMK(p *tmk.Proc) {
 		p.Compute(sim.Time(len(mine)) * cfg.UpdateCost)
 		p.Barrier(3*st + 2)
 	}
-	a.addSum(checksum(local, mine))
+	a.parOut.Sum += checksum(local, mine)
 }
 
 func (a *app) SetupPVM(sys *pvm.System) {
@@ -200,7 +188,7 @@ func (a *app) PVM(p *pvm.Proc) {
 			}
 		}
 	}
-	a.addSum(checksum(bodies, mine))
+	a.parOut.Sum += checksum(bodies, mine)
 }
 
 func (a *app) Master() func(*pvm.Proc) { return nil }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/pvm"
 	"repro/internal/sim"
 	"repro/internal/tmk"
-	"sync"
 )
 
 // app implements core.App.
@@ -16,8 +15,7 @@ type app struct {
 
 	aA, bA tmk.Addr // shared array buffers of the current TreadMarks run
 
-	mu     sync.Mutex // guards parOut: procs fold partials concurrently
-	parOut Output     // accumulated per-processor plane checksums
+	parOut Output // accumulated per-processor plane checksums
 	seqOut Output
 	hasSeq bool
 	hasPar bool
@@ -60,15 +58,6 @@ func (a *app) Figure() int  { return 11 }
 
 func (a *app) Problem() string {
 	return fmt.Sprintf("%d^3 complex, %d iters", a.cfg.N, a.cfg.Iters)
-}
-
-// addSum folds one processor's partial checksum into the collector;
-// integer addition commutes, so any accumulation order — including the
-// parallel engine's concurrent compute phases — gives the same output.
-func (a *app) addSum(v int64) {
-	a.mu.Lock()
-	a.parOut.Sum += v
-	a.mu.Unlock()
 }
 
 func (a *app) Check() error {
@@ -145,7 +134,7 @@ func (a *app) TMK(p *tmk.Proc) {
 		fl = bv
 	}
 	fl.Load(local, lo*plane, hi*plane)
-	a.addSum(chunkChecksum(local, lo*plane))
+	a.parOut.Sum += chunkChecksum(local, lo*plane)
 }
 
 func (a *app) SetupPVM(sys *pvm.System) {
@@ -214,7 +203,7 @@ func (a *app) PVM(p *pvm.Proc) {
 		p.Compute(passes(cfg, cur, lo, hi, it))
 		prev, cur = cur, prev
 	}
-	a.addSum(chunkChecksum(prev, lo*plane))
+	a.parOut.Sum += chunkChecksum(prev, lo*plane)
 }
 
 func (a *app) Master() func(*pvm.Proc) { return nil }

@@ -10,17 +10,14 @@ import (
 // code on the full golden grid: every blocking wait in the workloads,
 // the protocol layers and the network registers with an indexed Source
 // (WaitOn), so the engine's O(polled) repoll sweep never runs.  The
-// counter is process-wide, so the test brackets full serial- and
-// parallel-engine grids and requires an exactly zero delta.
+// counter is process-wide, so the test brackets a full grid and
+// requires an exactly zero delta.
 func TestGoldenGridNeverPolled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden grid in -short mode")
 	}
 	before := sim.PolledWaits()
-	if _, err := goldenGrid(false, 0).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := goldenGrid(true, 0).Run(); err != nil {
+	if _, err := goldenGrid(0).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if d := sim.PolledWaits() - before; d != 0 {

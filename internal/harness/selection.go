@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -33,6 +34,15 @@ func fieldErr(field string, err error) error {
 	return &FieldError{Field: field, Err: err}
 }
 
+// CheckScale rejects a workload scale factor that is not a positive,
+// finite number.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("bad scale %g (want a positive, finite workload scale factor, e.g. 0.1)", scale)
+	}
+	return nil
+}
+
 // Resolve expands the selection into a concrete Grid against the app
 // registry at the given workload scale.  Selecting the bigp scenario
 // set anywhere swaps in the re-sized BigApps registry and, when no
@@ -40,6 +50,9 @@ func fieldErr(field string, err error) error {
 // resolution error is a *FieldError naming the offending field and the
 // valid choices.
 func (sel Selection) Resolve(scale float64) (Grid, error) {
+	if err := CheckScale(scale); err != nil {
+		return Grid{}, fieldErr("scale", err)
+	}
 	sets := make([]string, 0, len(sel.Scenarios))
 	for _, s := range sel.Scenarios {
 		if s = strings.TrimSpace(s); s != "" {

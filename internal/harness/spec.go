@@ -12,7 +12,7 @@ import (
 // Content-addressed job specs.
 //
 // Every run in this reproduction is deterministic — the pinned goldens
-// prove bit-identical modeled metrics across four execution modes — so
+// prove bit-identical modeled metrics serially and on the worker pool — so
 // a Record is a pure function of (app, backend, scenario, engine
 // version).  SpecHash names that function application: a canonical hash
 // of the full job spec, stable across processes and registry instances,
@@ -24,15 +24,10 @@ import (
 // scenario's Config as one "path=value" line with struct fields in
 // declaration order and map keys sorted.  Zero-valued leaves are
 // omitted, so adding a new config knob whose zero value preserves
-// today's behavior does not move existing hashes.  Two fields are
-// deliberately excluded:
-//
-//   - Scenario.Config.Parallel selects an execution mode whose results
-//     are byte-identical to the serial engine (that is its contract);
-//     hashing it would split one cacheable result into two keys.
-//   - The backend's configuration beyond its name: a Variant's scenario
-//     rewrite is a fixed function of its registered name, versioned by
-//     EngineVersion like every other piece of model code.
+// today's behavior does not move existing hashes.  The backend's
+// configuration beyond its name is deliberately excluded: a Variant's
+// scenario rewrite is a fixed function of its registered name, versioned
+// by EngineVersion like every other piece of model code.
 //
 // EngineVersion ties hashes to the modeled-metrics vintage.  Bump it in
 // lockstep with golden regeneration: any PR that changes modeled
@@ -66,9 +61,7 @@ func CanonicalSpec(j Job) string {
 	fmt.Fprintf(&sb, "problem=%s\n", j.App.Problem())
 	fmt.Fprintf(&sb, "backend=%s\n", j.Backend.Name())
 	fmt.Fprintf(&sb, "scenario=%s\n", j.Scenario.Name)
-	cfg := j.Scenario.Config
-	cfg.Parallel = false // execution mode: results byte-identical by contract
-	canonValue(&sb, "config", reflect.ValueOf(cfg))
+	canonValue(&sb, "config", reflect.ValueOf(j.Scenario.Config))
 	return sb.String()
 }
 

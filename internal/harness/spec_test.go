@@ -145,15 +145,6 @@ func TestSpecHashFieldSensitivity(t *testing.T) {
 		j.Scenario.Net.Faults.Partitions = PartitionScenarios(8)[0].Net.Faults.Partitions
 	})
 
-	// Execution mode is not a spec: the parallel engine's results are
-	// byte-identical to the serial engine's, so both must hit the same
-	// cache entry.
-	par := base
-	par.Scenario.Parallel = true
-	if h := SpecHash(par); h != h0 {
-		t.Errorf("parallel-engine knob moved the hash: %s vs %s", h, h0)
-	}
-
 	// The engine version prefixes every canonical spec: a model-change
 	// bump strands every old hash, by construction.
 	if !strings.Contains(CanonicalSpec(base), "engine="+EngineVersion+"\n") {

@@ -232,7 +232,7 @@ func (p *Proc) Bcast(tag int) {
 func (p *Proc) Recv(src, tag int) *Buffer {
 	m := p.ep.Recv(p.ctx, src, tag)
 	b := &Buffer{proc: p, data: m.Payload, src: m.From, tag: m.Tag}
-	p.ep.Free(p.ctx, m)
+	p.ep.Free(m)
 	return b
 }
 
@@ -245,7 +245,7 @@ func (p *Proc) NRecv(src, tag int) *Buffer {
 		return nil
 	}
 	b := &Buffer{proc: p, data: m.Payload, src: m.From, tag: m.Tag}
-	p.ep.Free(p.ctx, m)
+	p.ep.Free(m)
 	return b
 }
 

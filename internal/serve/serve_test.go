@@ -218,6 +218,8 @@ func TestServeBadRequests(t *testing.T) {
 		{"unsupported bigp procs", "/v1/grid?scenarios=bigp&nprocs=8", "scenarios", []string{"does not run at 8", "16 64 256"}},
 		{"bad nprocs", "/v1/grid?nprocs=zero", "nprocs", []string{"bad nprocs entry", "2,4,8"}},
 		{"bad scale", "/v1/grid?scale=-1", "scale", []string{"bad scale"}},
+		{"NaN scale", "/v1/grid?scale=NaN", "scale", []string{"bad scale"}},
+		{"infinite scale", "/v1/grid?scale=Inf", "scale", []string{"bad scale"}},
 		{"spec endpoint validates too", "/v1/spec?apps=nonesuch", "apps", []string{"unknown experiment"}},
 	}
 	for _, tc := range cases {

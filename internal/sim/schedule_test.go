@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -68,30 +69,13 @@ func TestSameInstantBatchDrain(t *testing.T) {
 	}
 }
 
-// stableBox is a mailbox whose source declares the Stable contract: the
-// box is single-consumer, deliveries only append, and the head's arrival
-// time never moves — so once the wait condition holds, it keeps holding
-// with the same wake time.  The parallel engine may therefore release
-// the blocked receiver speculatively with its same-time batch; the
-// receiver gates before consuming, and the engine re-verifies the
-// condition when the commit token arrives.
+// stableBox is a single-consumer mailbox: deliveries only append and
+// the head's arrival time never moves, so once the wait condition holds
+// it keeps holding with the same wake time — the Stable contract.
+// Whether the source actually declares it is the caller's choice.
 type stableBox struct {
 	src  Source
 	msgs []Time
-}
-
-func newStableBox() *stableBox {
-	b := &stableBox{}
-	b.src.Stable = true
-	return b
-}
-
-func (b *stableBox) send(c *Ctx, arrival Time) {
-	c.Gate()
-	c.Sync(func() {
-		b.msgs = append(b.msgs, arrival)
-		b.src.Notify()
-	})
 }
 
 func (b *stableBox) recv(c *Ctx) {
@@ -101,18 +85,17 @@ func (b *stableBox) recv(c *Ctx) {
 		}
 		return b.msgs[0], true
 	})
-	// The release may have been speculative: consuming is a shared
-	// mutation, so it waits for the commit token.
-	c.Gate()
-	c.Sync(func() { b.msgs = b.msgs[1:] })
+	b.msgs = b.msgs[1:]
 }
 
-// stableRingTrace is ringTrace with Stable mailboxes and every event on
-// the millisecond grid, so receiver wake times collide with computing
-// procs' arrival times and same-time batches routinely contain
-// stable-condition procs — the widened release path.  The returned
-// trace is the committed send order.
-func stableRingTrace(t *testing.T, parallel bool, procs, rounds int, seed int64) []string {
+// stableRingTrace runs a token ring — compute, send, trace, receive —
+// over mailboxes whose sources are marked Stable or not, with every
+// event on the millisecond grid, so receiver wake times collide with
+// computing procs' arrival times and same-instant batches routinely hold
+// condition-blocked receivers.  It returns the committed send order and
+// how many condition-blocked procs were seen committed to the run queue
+// ahead of their turn.
+func stableRingTrace(t *testing.T, stable bool, procs, rounds int, seed int64) ([]string, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	work := make([][]Time, procs)
@@ -126,24 +109,28 @@ func stableRingTrace(t *testing.T, parallel bool, procs, rounds int, seed int64)
 			}
 		}
 	}
-	e := NewEngineOpts(Options{Parallel: parallel})
+	e := NewEngine()
 	boxes := make([]*stableBox, procs)
 	for i := range boxes {
-		boxes[i] = newStableBox()
+		boxes[i] = &stableBox{}
+		boxes[i].src.Stable = stable
 	}
 	var trace []string
+	early := 0
 	for i := 0; i < procs; i++ {
 		id := i
 		e.Spawn(fmt.Sprintf("p%d", id), false, func(c *Ctx) {
 			for r := 0; r < rounds; r++ {
 				c.Compute(work[id][r])
 				dst := (id + 1) % procs
-				c.Gate()
-				c.Sync(func() {
-					boxes[dst].msgs = append(boxes[dst].msgs, c.Now()+Millisecond)
-					boxes[dst].src.Notify()
-				})
+				boxes[dst].msgs = append(boxes[dst].msgs, c.Now()+Millisecond)
+				boxes[dst].src.Notify()
 				trace = append(trace, fmt.Sprintf("p%d@%d->%d", id, c.Now(), dst))
+				for _, q := range e.runq[e.runqHead:] {
+					if q.cond != nil {
+						early++
+					}
+				}
 				boxes[id].recv(c)
 			}
 		})
@@ -151,29 +138,59 @@ func stableRingTrace(t *testing.T, parallel bool, procs, rounds int, seed int64)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return trace
+	return trace, early
 }
 
-// TestStableEarlyReleaseMatchesSerial pins the speculative-release
-// determinism claim: widening parallel batches with provably-stable
-// blocked procs must not change the committed event sequence.  The
-// seeded schedules are adversarial by construction — all wake times and
-// compute arrivals share the millisecond grid, so stable receivers are
-// constantly eligible for early release inside mixed batches.
-func TestStableEarlyReleaseMatchesSerial(t *testing.T) {
+// TestStableEarlyCommitMatchesHeapOrder pins the run queue's early
+// commit of stable waiters: draining condition-blocked procs into the
+// same-instant run queue must commit exactly the steps the heap path
+// commits when the sources are not marked Stable.  The seeded schedules
+// are adversarial by construction — all wake times and compute arrivals
+// share the millisecond grid — and the test checks that the Stable runs
+// really took the early-commit path.
+func TestStableEarlyCommitMatchesHeapOrder(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		procs := 2 + int(seed)%5
-		serial := stableRingTrace(t, false, procs, 6, seed)
-		par := stableRingTrace(t, true, procs, 6, seed)
-		if len(serial) != len(par) {
-			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(serial), len(par))
+		heap, heapEarly := stableRingTrace(t, false, procs, 6, seed)
+		stable, early := stableRingTrace(t, true, procs, 6, seed)
+		if heapEarly != 0 {
+			t.Fatalf("seed %d: %d early commits without Stable sources", seed, heapEarly)
 		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("seed %d: traces diverge at %d: %q vs %q\nserial: %v\npar:    %v",
-					seed, i, serial[i], par[i], serial, par)
+		if early == 0 {
+			t.Errorf("seed %d: no stable waiter was committed early; the test does not reach the path", seed)
+		}
+		if len(heap) != len(stable) {
+			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(heap), len(stable))
+		}
+		for i := range heap {
+			if heap[i] != stable[i] {
+				t.Fatalf("seed %d: traces diverge at %d: %q vs %q\nheap:   %v\nstable: %v",
+					seed, i, heap[i], stable[i], heap, stable)
 			}
 		}
+	}
+}
+
+// TestBrokenStableContractFails wrongly marks a two-consumer source
+// Stable.  Both consumers arm at the same instant for the only item, so
+// the run queue commits the second behind the first; the first takes
+// the item, withdrawing the second's wake-up.  Run must fail at the
+// re-verification and name the second consumer rather than resume it.
+func TestBrokenStableContractFails(t *testing.T) {
+	e := NewEngine()
+	box := &stableBox{}
+	box.src.Stable = true // wrong: two procs consume from this box
+	for _, name := range []string{"c1", "c2"} {
+		e.Spawn(name, false, func(c *Ctx) { box.recv(c) })
+	}
+	e.Spawn("producer", false, func(c *Ctx) {
+		c.Compute(Millisecond)
+		box.msgs = append(box.msgs, c.Now())
+		box.src.Notify()
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `stable condition withdrawn on "c2"`) {
+		t.Fatalf("Run error = %v, want a withdrawn stable condition on c2", err)
 	}
 }
 

@@ -440,15 +440,12 @@ func (s *System) Spawn(id int, body func(*Proc)) {
 	}
 	s.started = true
 	p := s.procs[id]
-	// The application thread and the service daemon share the processor's
-	// state (page table, diff store, lock table): the same engine group
-	// keeps them off concurrent goroutines in parallel mode.
-	s.eng.SpawnGroup(fmt.Sprintf("tmk%d", id), false, id, func(c *sim.Ctx) {
+	s.eng.Spawn(fmt.Sprintf("tmk%d", id), false, func(c *sim.Ctx) {
 		p.app = c
 		p.initPages()
 		body(p)
 	})
-	s.eng.SpawnGroup(fmt.Sprintf("tmk%d.srv", id), true, id, func(c *sim.Ctx) {
+	s.eng.Spawn(fmt.Sprintf("tmk%d.srv", id), true, func(c *sim.Ctx) {
 		p.serve(c)
 	})
 }
@@ -844,7 +841,7 @@ func (p *Proc) rpcRecv(ctx *sim.Ctx, from, tag, want int, resend func(), seqOf f
 			continue
 		}
 		if seqOf(m.Obj) != want {
-			p.ep.Free(ctx, m) // stale duplicate reply
+			p.ep.Free(m) // stale duplicate reply
 			continue
 		}
 		return m
@@ -1261,7 +1258,7 @@ func (p *Proc) LockAcquire(id int) {
 		func(o any) int { return o.(*grantMsg).Seq })
 	p.LockWait += p.app.Now() - t0
 	g := m.Obj.(*grantMsg)
-	p.ep.Free(p.app, m) // grant extracted; recycle the envelope
+	p.ep.Free(m) // grant extracted; recycle the envelope
 	if g.Lock != id {
 		panic(fmt.Sprintf("tmk: proc %d got grant for lock %d while acquiring %d", p.id, g.Lock, id))
 	}
@@ -1345,7 +1342,7 @@ func (p *Proc) Barrier(id int) {
 		func(o any) int { return o.(*barrMsg).Seq })
 	p.BarrierWait += p.app.Now() - t0
 	dep := m.Obj.(*barrMsg)
-	p.ep.Free(p.app, m) // departure extracted; recycle the envelope
+	p.ep.Free(m) // departure extracted; recycle the envelope
 	if dep.Barrier != id {
 		panic(fmt.Sprintf("tmk: proc %d got departure for barrier %d while in %d", p.id, dep.Barrier, id))
 	}
@@ -1511,7 +1508,7 @@ func (p *Proc) treeBarrier(id int) {
 	m := p.ep.Recv(p.app, dst.id, tagTreeDepart)
 	p.BarrierWait += p.app.Now() - t0
 	dep := m.Obj.(*treeDepMsg)
-	p.ep.Free(p.app, m) // departure extracted; recycle the envelope
+	p.ep.Free(m) // departure extracted; recycle the envelope
 	if dep.Barrier != id {
 		panic(fmt.Sprintf("tmk: proc %d got tree departure for barrier %d while in %d",
 			p.id, dep.Barrier, id))
@@ -1666,7 +1663,7 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 		m := p.srv.Recv(ctx, -1, -1)
 		ctx.Compute(p.sys.cfg.HandlerOverhead)
 		tag, obj := m.Tag, m.Obj
-		p.srv.Free(ctx, m) // handlers keep the Obj, never the envelope
+		p.srv.Free(m) // handlers keep the Obj, never the envelope
 		switch tag {
 		case tagAcqReq:
 			req := obj.(*acqMsg)
@@ -1876,7 +1873,7 @@ func (p *Proc) fault(pid int) {
 				func() { p.ep.SendObjRetrans(p.app, p.sys.procs[tgt].srv, tagDiffReq, r, r.wireSize()) },
 				func(o any) int { return o.(*diffRespMsg).Seq })
 			resp := m.Obj.(*diffRespMsg)
-			p.ep.Free(p.app, m) // response extracted; recycle the envelope
+			p.ep.Free(m) // response extracted; recycle the envelope
 			if resp.Page != pid {
 				panic("tmk: diff response for wrong page")
 			}

@@ -30,7 +30,7 @@ func faultPattern(t *testing.T, fc FaultConfig) (Stats, []sim.Time) {
 				return
 			}
 			arrivals = append(arrivals, m.Arrival)
-			b.Free(c, m)
+			b.Free(m)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -118,7 +118,7 @@ func TestPartitionWindow(t *testing.T) {
 	})
 	e.Spawn("b", false, func(c *sim.Ctx) {
 		for i := 0; i < 2; i++ {
-			b.Free(c, b.Recv(c, 0, 1))
+			b.Free(b.Recv(c, 0, 1))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -154,7 +154,7 @@ func TestStreamARQInOrderExactlyOnce(t *testing.T) {
 				t.Errorf("recv %d: arrival %v before predecessor %v", i, m.Arrival, last)
 			}
 			last = m.Arrival
-			b.Free(c, m)
+			b.Free(m)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -198,7 +198,7 @@ func TestRecvDeadline(t *testing.T) {
 		if m == nil {
 			t.Fatal("expected delivery before deadline")
 		}
-		b.Free(c, m)
+		b.Free(m)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSlowdownScalesSendCost(t *testing.T) {
 		}
 	})
 	e.Spawn("b", false, func(c *sim.Ctx) {
-		b.Free(c, b.Recv(c, 1, 1))
+		b.Free(b.Recv(c, 1, 1))
 		// Arrival 400+50 latency; recv overhead 100µs at full speed.
 		if c.Now() != 550*sim.Microsecond {
 			t.Errorf("receiver clock = %v, want 550µs", c.Now())
@@ -263,7 +263,7 @@ func TestDropsSkipPool(t *testing.T) {
 			if got := m.Obj.(int); got != 1000+i {
 				t.Errorf("recv %d: payload %d, want %d", i, got, 1000+i)
 			}
-			b.Free(c, m)
+			b.Free(m)
 		}
 	})
 	if err := e.Run(); err != nil {

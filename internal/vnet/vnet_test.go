@@ -412,7 +412,7 @@ func TestMessageFreeListReuse(t *testing.T) {
 			return
 		}
 		keep := m1.Payload
-		b.Free(c, m1)
+		b.Free(m1)
 		if m1.Payload != nil || m1.Obj != nil {
 			t.Error("Free must clear the struct's references")
 		}
@@ -431,7 +431,7 @@ func TestMessageFreeListReuse(t *testing.T) {
 		if keep[0] != 1 || keep[1] != 2 || keep[2] != 3 {
 			t.Error("payload mutated by recycling")
 		}
-		b.Free(c, m2)
+		b.Free(m2)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestSteadyStateSendAllocFree(t *testing.T) {
 			} else if m != reused {
 				misses++
 			}
-			b.Free(c, m)
+			b.Free(m)
 		}
 	})
 	if err := e.Run(); err != nil {
